@@ -1,15 +1,17 @@
 package interp_test
 
-// Three-way differential suite for the register bytecode VM: the default
-// engine must be bit-for-bit equivalent to BOTH reference oracles — the
-// slot-indexed closure engine and the tree-walking evaluator — across the
-// bundled benchmark corpus, error paths, and fuzzed programs. CI's
-// bench-smoke gate runs this file under -race (scripts/ci.sh) and also
-// checks the VM never takes its defensive closure fallback on the corpus.
+// Differential suite for the register bytecode VM: the default engine must
+// be bit-for-bit equivalent to the reference tree-walking evaluator across
+// the bundled benchmark corpus, error paths, scoping corner cases, and
+// fuzzed programs. The contract covers the whole observable surface:
+// return values, step counts, captured output, cycle/FLOP accounting
+// (float64 accumulation order included), loop profiles, memory traffic,
+// alias observations, final buffer contents, and error messages with
+// positions. CI runs this file under -race (scripts/ci.sh) and also checks
+// the VM never takes its defensive tree-walk fallback on the corpus.
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -17,121 +19,302 @@ import (
 	"psaflow/internal/minic"
 )
 
-// engines enumerates the three execution paths by the Config flags that
-// select them; the zero value is the default bytecode VM.
+// engines enumerates the two execution paths by the Config flags that
+// select them; the zero value is the default bytecode VM, and the first
+// entry is the reference every other engine is compared against.
 var engines = []struct {
 	name string
 	cfg  func(interp.Config) interp.Config
 }{
 	{"bytecode", func(c interp.Config) interp.Config { return c }},
-	{"closures", func(c interp.Config) interp.Config { c.Closures = true; return c }},
 	{"treewalk", func(c interp.Config) interp.Config { c.TreeWalk = true; return c }},
 }
 
-// mapCounters is a minimal interp.Counters sink for single-goroutine tests.
-type mapCounters map[string]int64
+// engineRun is one engine's outcome on a program.
+type engineRun struct {
+	name string
+	res  *interp.Result
+	err  error
+	args []interp.Value // the run's arguments, buffers as the run left them
+}
 
-func (m mapCounters) Add(name string, delta int64) { m[name] += delta }
+// runEngines executes prog on every engine with args from the factory
+// (fresh buffers per run, so runs cannot observe each other's writes).
+func runEngines(prog *minic.Program, cfg interp.Config, mkArgs func() []interp.Value) []engineRun {
+	runs := make([]engineRun, len(engines))
+	for i, e := range engines {
+		c := e.cfg(cfg)
+		c.Args = mkArgs()
+		res, err := interp.Run(prog, c)
+		runs[i] = engineRun{name: e.name, res: res, err: err, args: c.Args}
+	}
+	return runs
+}
 
-// TestThreeWayEquivalenceBenchmarks pushes all five benchmark
-// applications through every engine and asserts the entire observable
-// surface — profile, output, steps, final buffer contents — matches the
-// bytecode run.
+// assertEnginesAgree holds every engine to the first (the bytecode VM):
+// byte-identical errors, positions included, or else the full result
+// surface and the final contents of every argument buffer.
+func assertEnginesAgree(t *testing.T, name string, runs []engineRun) {
+	t.Helper()
+	ref := runs[0]
+	for _, r := range runs[1:] {
+		switch {
+		case (ref.err == nil) != (r.err == nil):
+			t.Fatalf("%s: error presence differs: %s=%v %s=%v", name, ref.name, ref.err, r.name, r.err)
+		case ref.err != nil:
+			if ref.err.Error() != r.err.Error() {
+				t.Errorf("%s: errors differ:\n%s: %v\n%s: %v", name, ref.name, ref.err, r.name, r.err)
+			}
+		default:
+			assertSameRun(t, name+"/"+r.name, ref.res, r.res, ref.args, r.args)
+		}
+	}
+}
+
+// assertSameRun checks two successful runs' results and argument buffers.
+func assertSameRun(t *testing.T, name string, ref, got *interp.Result, refArgs, gotArgs []interp.Value) {
+	t.Helper()
+	if d := interp.DiffResults(ref, got); d != "" {
+		t.Errorf("%s: %s", name, d)
+	}
+	if d := interp.DiffArgs(refArgs, gotArgs); d != "" {
+		t.Errorf("%s: %s", name, d)
+	}
+}
+
+// runAgreeing runs prog on every engine, requires success and agreement,
+// and returns the reference result.
+func runAgreeing(t *testing.T, name string, prog *minic.Program, cfg interp.Config, mkArgs func() []interp.Value) *interp.Result {
+	t.Helper()
+	runs := runEngines(prog, cfg, mkArgs)
+	if runs[0].err != nil {
+		t.Fatalf("%s: %v", name, runs[0].err)
+	}
+	assertEnginesAgree(t, name, runs)
+	return runs[0].res
+}
+
+// noArgs is the argument factory of parameterless entries.
+func noArgs() []interp.Value { return nil }
+
+// runThreeWay runs prog on both engines and then on the third route
+// through Run: the bytecode engine with a lowering failure latched in its
+// program cache, which takes the defensive tree-walk fallback. It also
+// returns the fallback run's counters.
+func runThreeWay(prog *minic.Program, cfg interp.Config, mkArgs func() []interp.Value) ([]engineRun, interp.MapCounters) {
+	runs := runEngines(prog, cfg, mkArgs)
+	fp := minic.Fingerprint(prog)
+	ctrs := interp.MapCounters{}
+	c := cfg
+	c.Args, c.Progs, c.Fingerprint, c.Counters = mkArgs(), interp.LatchLoweringFailure(fp), fp, ctrs
+	res, err := interp.Run(prog, c)
+	return append(runs, engineRun{name: "fallback", res: res, err: err, args: c.Args}), ctrs
+}
+
+// TestCompiledTreeWalkEquivalenceBenchmarks pushes all five bundled
+// benchmark applications through the compiled (bytecode) engine and the
+// tree-walker, watched on their entry, and asserts the entire observable
+// surface matches — including the final contents of every argument
+// buffer.
+func TestCompiledTreeWalkEquivalenceBenchmarks(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			runAgreeing(t, b.Name, b.Parse(), interp.Config{Entry: b.Entry}, b.MakeArgs)
+		})
+	}
+}
+
+// TestThreeWayEquivalenceBenchmarks holds the lowering-failure fallback
+// to the same contract on the bundled benchmarks: a Run whose program
+// cache has latched a lowering failure must fall back exactly once and
+// match both engines on the entire observable surface, buffers included.
 func TestThreeWayEquivalenceBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			prog := b.Parse()
-			type run struct {
-				res  *interp.Result
-				bufs []*interp.Buffer
-			}
-			runs := make(map[string]run, len(engines))
-			for _, e := range engines {
-				args := b.MakeArgs()
-				res, err := interp.Run(prog, e.cfg(interp.Config{Entry: b.Entry, Args: args}))
-				if err != nil {
-					t.Fatalf("%s run: %v", e.name, err)
+			runs, ctrs := runThreeWay(b.Parse(), interp.Config{Entry: b.Entry}, b.MakeArgs)
+			for _, r := range runs {
+				if r.err != nil {
+					t.Fatalf("%s run: %v", r.name, r.err)
 				}
-				runs[e.name] = run{res: res, bufs: bufferArgs(args)}
 			}
-			ref := runs["bytecode"]
-			for _, e := range engines[1:] {
-				got := runs[e.name]
-				assertResultsEqual(t, b.Name+"/"+e.name, ref.res, got.res)
-				for i := range ref.bufs {
-					if !reflect.DeepEqual(ref.bufs[i].I, got.bufs[i].I) ||
-						!reflect.DeepEqual(ref.bufs[i].F, got.bufs[i].F) {
-						t.Errorf("%s: buffer %s contents differ bytecode vs %s",
-							b.Name, ref.bufs[i].Name, e.name)
-					}
-				}
+			assertEnginesAgree(t, b.Name, runs)
+			if n := ctrs[interp.CounterBCFallbacks]; n != 1 {
+				t.Errorf("%s = %d on the fallback route, want 1", interp.CounterBCFallbacks, n)
 			}
 		})
 	}
 }
 
-// TestThreeWayEquivalenceErrors asserts all three engines fail with
-// byte-identical error messages, positions included, on the failure modes
-// a flow can hit mid-DSE: runtime faults, unresolved names, bounds
-// violations, and the step budget.
-func TestThreeWayEquivalenceErrors(t *testing.T) {
-	mkBuf := func() []interp.Value {
-		return []interp.Value{interp.BufVal(interp.NewFloatBuffer("a", minic.Double, make([]float64, 3)))}
-	}
-	none := func() []interp.Value { return nil }
-	cases := []struct {
-		name string
-		src  string
-		args func() []interp.Value
-		max  int64
-	}{
-		{"div-zero", `int f() { return 1 / 0; }`, none, 0},
-		{"oob", `void f(double *a) { a[7] = 1.0; }`, mkBuf, 0},
-		{"undef-fn", `int f() { return g(); }`, none, 0},
-		{"step-budget", `void f() { while (true) { } }`, none, 5000},
-		{"step-budget-deep", `
+// oneBuf is the argument factory of entries taking one 3-element buffer.
+func oneBuf() []interp.Value {
+	return []interp.Value{interp.BufVal(interp.NewFloatBuffer("a", minic.Double, make([]float64, 3)))}
+}
+
+// errorCases are the failure modes a flow can hit mid-DSE — runtime
+// faults, unresolved names, bounds violations, the step budget — and a
+// construct the lowering cannot resolve, which must only fail when
+// actually executed.
+var errorCases = []struct {
+	name    string
+	src     string
+	args    func() []interp.Value
+	max     int64
+	wantErr bool
+}{
+	{"div-zero", `int f() { return 1 / 0; }`, noArgs, 0, true},
+	{"mod-zero", `int f() { return 1 % 0; }`, noArgs, 0, true},
+	{"fdiv-zero", `double f() { return 1.0 / 0.0; }`, noArgs, 0, true},
+	{"undef-var", `int f() { return x; }`, noArgs, 0, true},
+	{"undef-var-assign", `int f() { x = 3; return 0; }`, noArgs, 0, true},
+	{"undef-fn", `int f() { return g(); }`, noArgs, 0, true},
+	{"oob", `void f(double *a) { a[7] = 1.0; }`, oneBuf, 0, true},
+	{"oob-high", `void f(double *a) { a[5] = 1.0; }`, oneBuf, 0, true},
+	{"oob-low", `void f(double *a) { a[-1] = 1.0; }`, oneBuf, 0, true},
+	{"builtin-arity", `int f() { return sqrt(1.0, 2.0); }`, noArgs, 0, true},
+	{"index-non-array", `int f() { int x = 1; return x[0]; }`, noArgs, 0, true},
+	{"step-budget", `void f() { while (true) { } }`, noArgs, 5000, true},
+	{"step-budget-deep", `
 int leaf(int x) { return x + 1; }
-int f() { int s = 0; for (int i = 0; i < 1000000; i++) { s = leaf(s); } return s; }`, none, 5000},
-	}
-	for _, c := range cases {
+int f() { int s = 0; for (int i = 0; i < 1000000; i++) { s = leaf(s); } return s; }`, noArgs, 5000, true},
+	{"dead-undef-ok", `int f() { if (false) { return zzz; } return 7; }`, noArgs, 0, false},
+}
+
+// checkErrorCases runs every errorCases entry through run and asserts
+// each route fails exactly when the case says, with byte-identical error
+// messages, positions included.
+func checkErrorCases(t *testing.T, run func(*minic.Program, interp.Config, func() []interp.Value) []engineRun) {
+	for _, c := range errorCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			prog := minic.MustParse(c.src)
-			errs := make(map[string]error, len(engines))
-			for _, e := range engines {
-				_, err := interp.Run(prog, e.cfg(interp.Config{Entry: "f", Args: c.args(), MaxSteps: c.max}))
-				if err == nil {
-					t.Fatalf("%s: expected an error", e.name)
-				}
-				errs[e.name] = err
-			}
-			for _, e := range engines[1:] {
-				if errs["bytecode"].Error() != errs[e.name].Error() {
-					t.Errorf("error messages differ:\nbytecode: %v\n%s: %v",
-						errs["bytecode"], e.name, errs[e.name])
+			runs := run(minic.MustParse(c.src), interp.Config{Entry: "f", MaxSteps: c.max}, c.args)
+			for _, r := range runs {
+				if (r.err != nil) != c.wantErr {
+					t.Fatalf("%s: error = %v, want error: %v", r.name, r.err, c.wantErr)
 				}
 			}
+			assertEnginesAgree(t, c.name, runs)
 		})
+	}
+}
+
+// TestCompiledTreeWalkEquivalenceErrors asserts the two engines agree on
+// every error case.
+func TestCompiledTreeWalkEquivalenceErrors(t *testing.T) {
+	checkErrorCases(t, runEngines)
+}
+
+// TestThreeWayEquivalenceErrors asserts the lowering-failure fallback
+// agrees with both engines on every error case.
+func TestThreeWayEquivalenceErrors(t *testing.T) {
+	checkErrorCases(t, func(prog *minic.Program, cfg interp.Config, mkArgs func() []interp.Value) []engineRun {
+		runs, _ := runThreeWay(prog, cfg, mkArgs)
+		return runs
+	})
+}
+
+// TestShadowingAcrossNestedAndForInitScopes is the regression for
+// frame.lookup's innermost-first resolution: the lowering's register
+// resolver must bind every reference to the same declaration the
+// scope-stack walk finds, across nested blocks and for-init scopes.
+func TestShadowingAcrossNestedAndForInitScopes(t *testing.T) {
+	src := `
+int f() {
+    int x = 1;
+    int i = 100;
+    int seen = 0;
+    {
+        int x = 2;
+        {
+            int x = 3;
+            x += 10;
+            seen += x;
+        }
+        x += 1;
+        seen += x * 100;
+    }
+    for (int i = 0; i < 3; i++) {
+        int x = 50;
+        x += i;
+        seen += x * 10000;
+    }
+    for (int i = 5; i < 6; i++) {
+        seen += i * 1000000;
+    }
+    return seen * 10 + x + i / 100;
+}
+`
+	res := runAgreeing(t, "shadowing", minic.MustParse(src), interp.Config{Entry: "f"}, noArgs)
+	// seen = 13 + 300 + (50+51+52)*10000 + 5*1000000 = 6530313;
+	// outer x and i survive untouched.
+	if want := int64(6530313*10 + 1 + 1); res.Ret.AsInt() != want {
+		t.Errorf("shadowing result = %d, want %d", res.Ret.AsInt(), want)
+	}
+}
+
+// TestDeclInitSeesOuterBinding pins the declaration-order rule the
+// lowering must preserve: an initializer referencing the declared name
+// reads the outer (shadowed) binding, because the binding becomes visible
+// only after its initializer evaluates.
+func TestDeclInitSeesOuterBinding(t *testing.T) {
+	src := `
+int f() {
+    int x = 2;
+    {
+        int x = x + 40;
+        return x;
+    }
+}
+`
+	res := runAgreeing(t, "decl-init", minic.MustParse(src), interp.Config{Entry: "f"}, noArgs)
+	if res.Ret.AsInt() != 42 {
+		t.Errorf("inner x = %d, want 42 (init must read outer binding)", res.Ret.AsInt())
+	}
+}
+
+// TestCompiledWatchEquivalence watches a non-entry kernel with aliased
+// buffers, checking watch accounting and alias detection agree when the
+// watched function is entered mid-call-graph.
+func TestCompiledWatchEquivalence(t *testing.T) {
+	src := `
+void kernel(int n, double *a, double *b) {
+    for (int i = 0; i < n; i++) {
+        a[i] += b[i] * 2.0;
+    }
+}
+void main_fn(int n, double *a, double *b) {
+    kernel(n, a, b);
+    kernel(n, a, a);
+}
+`
+	mkArgs := func() []interp.Value {
+		a := interp.NewFloatBuffer("a", minic.Double, []float64{1, 2, 3, 4})
+		b := interp.NewFloatBuffer("b", minic.Double, []float64{5, 6, 7, 8})
+		return []interp.Value{interp.IntVal(4), interp.BufVal(a), interp.BufVal(b)}
+	}
+	res := runAgreeing(t, "watch", minic.MustParse(src), interp.Config{Entry: "main_fn", Watch: "kernel"}, mkArgs)
+	if pairs := res.Prof.AliasPairs(); len(pairs) != 1 {
+		t.Errorf("alias pairs = %v, want exactly the a/b self-alias", pairs)
 	}
 }
 
 // TestBytecodeNoFallbackOnBenchmarks is the no-regression gate for the
 // lowering: every bundled benchmark must execute on the bytecode VM
 // proper — instructions dispatched, zero defensive fallbacks to the
-// closure engine. scripts/ci.sh fails the build when this trips.
+// tree-walker. scripts/ci.sh fails the build when this trips.
 func TestBytecodeNoFallbackOnBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			ctrs := mapCounters{}
+			ctrs := interp.MapCounters{}
 			if _, err := interp.Run(b.Parse(), interp.Config{
 				Entry: b.Entry, Args: b.MakeArgs(), Counters: ctrs,
 			}); err != nil {
 				t.Fatal(err)
 			}
 			if n := ctrs[interp.CounterBCFallbacks]; n != 0 {
-				t.Errorf("%s fell back to the closure engine (%s=%d)",
+				t.Errorf("%s fell back to the tree-walker (%s=%d)",
 					b.Name, interp.CounterBCFallbacks, n)
 			}
 			if ctrs[interp.CounterBCInstrs] == 0 {
@@ -176,7 +359,7 @@ func fuzzArgs(fn *minic.FuncDecl) ([]interp.Value, bool) {
 // FuzzBytecodeDiff is the lowering's differential fuzzer: any program the
 // front end accepts must behave identically on the bytecode VM and the
 // tree-walking reference — same result surface on success, byte-identical
-// error otherwise, and never a panic or a closure fallback. Seeded with
+// error otherwise, and never a panic or a tree-walk fallback. Seeded with
 // the benchmark corpus like minic's FuzzParse.
 func FuzzBytecodeDiff(f *testing.F) {
 	for _, b := range bench.All() {
@@ -187,6 +370,7 @@ func FuzzBytecodeDiff(f *testing.F) {
 	f.Add("double f(int n, const double *a, double *b) { double s = 0.0; for (int i = 0; i < n; i++) { b[i] = sqrt(a[i]); s += b[i]; } return s; }")
 	f.Add("int f(int n) { if (n > 2) { return n * n; } return -n; }")
 	f.Add("int f() { return 1 / 0; }")
+	f.Add("int f(int n) { int k = 0; while (k < n) { k++; if (k % 3 == 2) { continue; } if (k > 6) { break; } } return k; }")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := minic.Parse(src)
 		if err != nil {
@@ -196,41 +380,19 @@ func FuzzBytecodeDiff(f *testing.F) {
 			if fn.Body == nil {
 				continue
 			}
-			bcArgs, ok := fuzzArgs(fn)
-			if !ok {
+			if _, ok := fuzzArgs(fn); !ok {
 				continue
 			}
-			twArgs, _ := fuzzArgs(fn)
 			// Tight budget: fuzzed loops may spin; equivalence must hold
 			// for the budget error too.
 			const budget = 50_000
-			ctrs := mapCounters{}
-			bcRes, bcErr := interp.Run(prog, interp.Config{
-				Entry: fn.Name, Args: bcArgs, MaxSteps: budget, Counters: ctrs,
-			})
-			twRes, twErr := interp.Run(prog, interp.Config{
-				Entry: fn.Name, Args: twArgs, MaxSteps: budget, TreeWalk: true,
-			})
+			ctrs := interp.MapCounters{}
+			runs := runEngines(prog, interp.Config{Entry: fn.Name, MaxSteps: budget, Counters: ctrs},
+				func() []interp.Value { args, _ := fuzzArgs(fn); return args })
 			if ctrs[interp.CounterBCFallbacks] != 0 {
-				t.Errorf("%s: lowering fell back to closures", fn.Name)
+				t.Errorf("%s: lowering fell back to the tree-walker", fn.Name)
 			}
-			switch {
-			case (bcErr == nil) != (twErr == nil):
-				t.Fatalf("%s: error presence differs: bytecode=%v treewalk=%v", fn.Name, bcErr, twErr)
-			case bcErr != nil:
-				if bcErr.Error() != twErr.Error() {
-					t.Fatalf("%s: errors differ:\nbytecode: %v\ntreewalk: %v", fn.Name, bcErr, twErr)
-				}
-			default:
-				assertResultsEqual(t, fn.Name, bcRes, twRes)
-				bcBufs, twBufs := bufferArgs(bcArgs), bufferArgs(twArgs)
-				for i := range bcBufs {
-					if !reflect.DeepEqual(bcBufs[i].I, twBufs[i].I) ||
-						!reflect.DeepEqual(bcBufs[i].F, twBufs[i].F) {
-						t.Errorf("%s: buffer %d contents diverge", fn.Name, i)
-					}
-				}
-			}
+			assertEnginesAgree(t, fn.Name, runs)
 		}
 	})
 }

@@ -4,10 +4,10 @@ import (
 	"psaflow/internal/minic"
 )
 
-// The tree-walking evaluator. Since the compiled fast path (compile.go)
-// became the default, this walker is kept as the semantic reference the
-// equivalence suite checks the compiler against; all value semantics and
-// cost charging live in the shared helpers of apply.go.
+// The tree-walking evaluator: the semantic reference the differential
+// suite checks the bytecode VM against, and the VM's defensive fallback
+// when lowering fails. All value semantics and cost charging live in the
+// shared helpers of apply.go.
 
 func (m *machine) eval(fr *frame, e minic.Expr) (Value, error) {
 	if err := m.step(e.NodePos()); err != nil {

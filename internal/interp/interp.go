@@ -47,13 +47,13 @@ const (
 	CounterRuns   = "interp.runs"
 	CounterOps    = "interp.ops"    // AST evaluation steps executed
 	CounterCycles = "interp.cycles" // virtual cycles charged (rounded)
-	// CounterCompileFuncs / CounterCompileNanos describe the compile pass
-	// that lowers the AST before execution (bytecode by default, or
-	// slot-indexed closures under Config.Closures).
+	// CounterCompileFuncs / CounterCompileNanos describe the bytecode
+	// lowering pass that precedes VM execution (absent under
+	// Config.TreeWalk, on a program-cache hit, and on a fallback).
 	CounterCompileFuncs = "interp.compile.funcs"
 	CounterCompileNanos = "interp.compile.ns"
 	// Bytecode engine counters: instructions dispatched, superinstruction
-	// (fused) dispatches, and defensive fallbacks to the closure engine.
+	// (fused) dispatches, and defensive fallbacks to the tree-walker.
 	CounterBCInstrs    = "interp.bytecode.instructions"
 	CounterBCFused     = "interp.bytecode.fused"
 	CounterBCFallbacks = "interp.bytecode.fallbacks"
@@ -83,15 +83,11 @@ type Config struct {
 	// Counters, when non-nil, receives the run's op/cycle totals
 	// (CounterRuns/CounterOps/CounterCycles) once execution finishes.
 	Counters Counters
-	// TreeWalk forces the legacy tree-walking evaluator instead of the
-	// bytecode fast path. All engines are bit-for-bit equivalent
-	// (profiles, outputs, errors); the walker remains as the semantic
-	// reference for differential testing.
+	// TreeWalk forces the reference tree-walking evaluator instead of the
+	// bytecode VM. The two engines are bit-for-bit equivalent (profiles,
+	// outputs, errors); the walker is the semantic reference for
+	// differential testing and the VM's defensive fallback.
 	TreeWalk bool
-	// Closures forces the slot-indexed closure engine (the previous fast
-	// path), kept as a second reference oracle for the three-way
-	// differential suite and for defensive fallback.
-	Closures bool
 	// QuickenThreshold is the per-instruction execution count after which
 	// the bytecode VM rewrites a generic opcode in place to its
 	// type-specialized (quickened) form. 0 selects DefaultQuickenThreshold;
@@ -196,8 +192,9 @@ type machine struct {
 const DefaultQuickenThreshold = 64
 
 // Run executes cfg.Entry in prog and returns the result with its profile.
-// By default the program is first lowered to slot-indexed closures
-// (compile.go); cfg.TreeWalk selects the reference tree-walker instead.
+// By default the program is first lowered to register bytecode
+// (bytecode.go) and executed on the VM (bytecode_exec.go); cfg.TreeWalk
+// selects the reference tree-walker instead.
 func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	entry := prog.Func(cfg.Entry)
 	if entry == nil {
@@ -224,61 +221,36 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		m.ctx = cfg.Ctx
 		m.done = cfg.Ctx.Done()
 	}
-	var ret Value
-	var err error
+	var bp *bprog
+	var lease *progLease
 	var compileNanos int64
-	var compiledFuncs int64
-	var fallbacks int64
-	var progHits int64
-	switch {
-	case cfg.TreeWalk:
-		m.loopInfo = buildLoopInfo(prog)
-		ret, err = m.call(entry, cfg.Args, entry.NodePos())
-	case cfg.Closures:
-		m.loopInfo = buildLoopInfo(prog)
-		compileStart := time.Now()
-		cp := compileProgram(prog)
-		compileNanos = time.Since(compileStart).Nanoseconds()
-		compiledFuncs = int64(len(cp.funcs))
-		ret, err = m.callCompiled(cp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
-	default:
+	if !cfg.TreeWalk {
 		m.quickenAt = quickenTrip(cfg.QuickenThreshold)
 		compileStart := time.Now()
-		var bp *bprog
-		var lease *progLease
 		if cfg.Progs != nil && cfg.Fingerprint != 0 {
 			lease = cfg.Progs.lease(cfg.Fingerprint, prog)
-			bp = lease.bp
-			m.trace = lease.trace
-			m.loopInfo = lease.loops
-			if !lease.lowered {
-				progHits = 1
-			}
-		} else {
-			bp = lowerBytecode(prog, AllFusion)
-			if bp != nil {
-				m.loopInfo = buildLoopInfo(prog)
-			}
+			bp, m.trace, m.loopInfo = lease.bp, lease.trace, lease.loops
+		} else if bp = lowerBytecode(prog, AllFusion); bp != nil {
+			m.loopInfo = buildLoopInfo(prog)
 		}
 		compileNanos = time.Since(compileStart).Nanoseconds()
-		if bp != nil {
-			compiledFuncs = int64(len(bp.funcs))
-			ret, err = m.callBytecode(bp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
-		} else {
-			// Defensive fallback: a lowering panic degrades to the
-			// closure engine rather than aborting the flow. Counted so
-			// the CI bench-smoke gate can assert it never fires on the
-			// bundled benchmarks.
-			fallbacks = 1
-			m.loopInfo = buildLoopInfo(prog)
-			cp := compileProgram(prog)
-			compiledFuncs = int64(len(cp.funcs))
-			ret, err = m.callCompiled(cp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
-		}
-		if lease != nil {
-			m.trace = nil
-			cfg.Progs.release(lease, err == nil)
-		}
+	}
+	var ret Value
+	var err error
+	if bp != nil {
+		ret, err = m.callBytecode(bp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
+	} else {
+		// The reference tree-walker: selected by cfg.TreeWalk, or the
+		// defensive fallback when lowering panicked (fresh, or latched in
+		// the program cache), which degrades the run instead of aborting
+		// the flow. Fallbacks are counted so the CI bench-smoke gate can
+		// assert they never fire on the bundled benchmarks.
+		m.loopInfo = buildLoopInfo(prog)
+		ret, err = m.call(entry, cfg.Args, entry.NodePos())
+	}
+	if lease != nil {
+		m.trace = nil
+		cfg.Progs.release(lease, err == nil)
 	}
 	if err != nil {
 		return nil, err
@@ -287,9 +259,16 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		cfg.Counters.Add(CounterRuns, 1)
 		cfg.Counters.Add(CounterOps, m.steps)
 		cfg.Counters.Add(CounterCycles, int64(m.prof.Cycles))
-		if compiledFuncs > 0 && progHits == 0 {
-			cfg.Counters.Add(CounterCompileFuncs, compiledFuncs)
+		switch {
+		case bp == nil && !cfg.TreeWalk:
+			cfg.Counters.Add(CounterBCFallbacks, 1)
+		case bp == nil: // TreeWalk: nothing was lowered
+		case lease != nil && !lease.lowered:
+			cfg.Counters.Add(CounterBCProgHits, 1)
+		default:
+			cfg.Counters.Add(CounterCompileFuncs, int64(len(bp.funcs)))
 			cfg.Counters.Add(CounterCompileNanos, compileNanos)
+			cfg.Counters.Add(CounterBCLowerings, 1)
 		}
 		if m.bcInstrs > 0 {
 			cfg.Counters.Add(CounterBCInstrs, m.bcInstrs)
@@ -303,16 +282,6 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		}
 		if m.qDeopts > 0 {
 			cfg.Counters.Add(CounterBCQuickenDeopts, m.qDeopts)
-		}
-		if fallbacks > 0 {
-			cfg.Counters.Add(CounterBCFallbacks, fallbacks)
-		}
-		if compiledFuncs > 0 && !cfg.Closures {
-			if progHits > 0 {
-				cfg.Counters.Add(CounterBCProgHits, progHits)
-			} else if fallbacks == 0 {
-				cfg.Counters.Add(CounterBCLowerings, 1)
-			}
 		}
 	}
 	return &Result{Ret: ret, Prof: m.prof, Steps: m.steps, Output: m.output}, nil
@@ -336,7 +305,7 @@ func quickenTrip(threshold int) int32 {
 
 // lowerBytecode wraps compileBytecode with a panic guard: the lowering is
 // exercised by the differential fuzzer and never expected to fail, but a
-// defect must degrade to the closure oracle, not crash a flow.
+// defect must degrade to the tree-walker, not crash a flow.
 func lowerBytecode(prog *minic.Program, policy FusionPolicy) (bp *bprog) {
 	defer func() {
 		if recover() != nil {
@@ -365,7 +334,7 @@ func (m *machine) errf(pos minic.Pos, format string, args ...any) error {
 
 // cancelCheckInterval spaces cancellation polls: step() is called once per
 // statement / loop iteration (the fine-grained expression steps are inlined
-// by the compiled path and never reach here), so polling every 1024 calls
+// by the bytecode VM and never reach here), so polling every 1024 calls
 // bounds the cancellation latency to microseconds while keeping the poll
 // off the hot path.
 const cancelCheckInterval = 1024

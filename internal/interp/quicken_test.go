@@ -10,7 +10,6 @@ package interp_test
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -20,7 +19,7 @@ import (
 )
 
 // runQuickened executes one benchmark app at the given threshold.
-func runQuickened(t *testing.T, b *bench.Benchmark, threshold int, ctrs interp.Counters) (*interp.Result, []*interp.Buffer) {
+func runQuickened(t *testing.T, b *bench.Benchmark, threshold int, ctrs interp.Counters) (*interp.Result, []interp.Value) {
 	t.Helper()
 	args := b.MakeArgs()
 	res, err := interp.Run(b.Parse(), interp.Config{
@@ -29,7 +28,7 @@ func runQuickened(t *testing.T, b *bench.Benchmark, threshold int, ctrs interp.C
 	if err != nil {
 		t.Fatalf("threshold %d: %v", threshold, err)
 	}
-	return res, bufferArgs(args)
+	return res, args
 }
 
 // TestQuickenEquivalenceBenchmarks runs every bundled benchmark with
@@ -41,18 +40,11 @@ func TestQuickenEquivalenceBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			refRes, refBufs := runQuickened(t, b, -1, nil)
+			refRes, refArgs := runQuickened(t, b, -1, nil)
 			for _, threshold := range []int{0, 1} {
-				ctrs := mapCounters{}
-				res, bufs := runQuickened(t, b, threshold, ctrs)
-				assertResultsEqual(t, fmt.Sprintf("%s/threshold=%d", b.Name, threshold), refRes, res)
-				for i := range refBufs {
-					if !reflect.DeepEqual(refBufs[i].I, bufs[i].I) ||
-						!reflect.DeepEqual(refBufs[i].F, bufs[i].F) {
-						t.Errorf("threshold %d: buffer %s contents differ from unquickened run",
-							threshold, refBufs[i].Name)
-					}
-				}
+				ctrs := interp.MapCounters{}
+				res, args := runQuickened(t, b, threshold, ctrs)
+				assertSameRun(t, fmt.Sprintf("%s/threshold=%d", b.Name, threshold), refRes, res, refArgs, args)
 				if ctrs[interp.CounterBCQuickenRewrites] == 0 {
 					t.Errorf("threshold %d: no instructions quickened on %s", threshold, b.Name)
 				}
@@ -61,7 +53,7 @@ func TestQuickenEquivalenceBenchmarks(t *testing.T) {
 						threshold, ctrs[interp.CounterBCQuickenDeopts])
 				}
 				if ctrs[interp.CounterBCFallbacks] != 0 {
-					t.Errorf("threshold %d: VM fell back to the closure engine", threshold)
+					t.Errorf("threshold %d: VM fell back to the tree-walker", threshold)
 				}
 			}
 		})

@@ -292,6 +292,11 @@ func fmtTime(t time.Time) string {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is Status for callers already holding mu.
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:          j.ID,
 		State:       j.state,
@@ -343,18 +348,18 @@ func (j *Job) markRunning(cancel func()) bool {
 	return true
 }
 
-// cancelQueued transitions Queued → Cancelled; false if the job already
-// started (the caller should cancel the running context instead).
-func (j *Job) cancelQueued() bool {
+// cancelQueued transitions Queued → Cancelled and returns the attached
+// result; nil if the job already started (the caller should cancel the
+// running context instead).
+func (j *Job) cancelQueued() *JobResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil
 	}
-	j.state = StateCancelled
-	j.errMsg = "cancelled before start"
-	j.finished = time.Now()
-	return true
+	res := buildResult(FailureCancelled, nil, nil)
+	j.finishLocked(StateCancelled, "cancelled before start", res)
+	return res
 }
 
 // cancelRunning invokes the running flow's cancel function; false if the
@@ -369,26 +374,28 @@ func (j *Job) cancelRunning() bool {
 	return true
 }
 
-// finish moves the job to a terminal state with its result.
+// finish moves the job to a terminal state and attaches res, stamped
+// with that terminal status, in one critical section: a reader never sees
+// a terminal state without its result.
 func (j *Job) finish(state JobState, errMsg string, res *JobResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.finishLocked(state, errMsg, res)
+}
+
+// finishLocked is finish for callers already holding mu.
+func (j *Job) finishLocked(state JobState, errMsg string, res *JobResult) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	res.JobStatus = j.statusLocked()
 	j.result = res
 }
 
-// setResult attaches the built result (which embeds the terminal status).
-func (j *Job) setResult(res *JobResult) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.result = res
-}
-
-// buildResult assembles the persisted result from the evaluated designs.
-func buildResult(st JobStatus, failureClass string, results []experiments.DesignResult, rep *telemetry.Report) *JobResult {
-	out := &JobResult{JobStatus: st, FailureClass: failureClass, Telemetry: rep}
+// buildResult assembles the persisted result from the evaluated designs;
+// finish stamps it with the job's terminal status.
+func buildResult(failureClass string, results []experiments.DesignResult, rep *telemetry.Report) *JobResult {
+	out := &JobResult{FailureClass: failureClass, Telemetry: rep}
 	if rep != nil {
 		out.DegradedDesigns = rep.Counters[telemetry.CounterFaultDegradations]
 	}

@@ -437,15 +437,13 @@ func (s *Server) runJob(job *Job) {
 	default:
 		state, msg, counter, class = StateFailed, err.Error(), telemetry.CounterJobsFailed, FailureError
 	}
-	job.finish(state, msg, nil)
-	// The result embeds the terminal status, so build it after finish.
-	res := buildResult(job.Status(), class, results, rep)
+	res := buildResult(class, results, rep)
 	if len(followers) > 0 {
 		res.Batched = true
 		res.BatchSize = len(followers) + 1
 		res.BatchLeader = job.ID
 	}
-	job.setResult(res)
+	job.finish(state, msg, res)
 	s.finalizeJob(job, counter)
 	s.finishFollowers(job, followers, &batchOutcome{
 		state: state, msg: msg, class: class,
@@ -662,6 +660,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "could not persist job submission; retry later")
 		return
 	}
+	// The 202 body is the status at acceptance: snapshot it before the
+	// push, since a worker may start (or finish) the job the instant it
+	// is queued.
+	ack := job.Status()
 	ok, draining := s.register(job)
 	if draining {
 		s.rollbackSubmit(job.ID)
@@ -675,7 +677,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logf("job %s: queued bench=%s mode=%s", job.ID, spec.Bench, spec.Mode)
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJSON(w, http.StatusAccepted, ack)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -727,7 +729,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	if job.cancelQueued() {
+	if res := job.cancelQueued(); res != nil {
 		// The worker will skip it when dequeued; the terminal state and
 		// counter are recorded here so the cancel is immediately visible,
 		// and the store gets a cancel record so a restart doesn't requeue
@@ -735,8 +737,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.rec.Add(telemetry.CounterJobsCancelled, 1)
 		s.publish(job, events.Event{Type: events.TypeCancelled, Detail: "cancelled before start"})
 		job.events.Close()
-		res := buildResult(job.Status(), FailureCancelled, nil, nil)
-		job.setResult(res)
 		if err := s.saveCancel(job.ID, res); err != nil {
 			s.logf("job %s: persist cancel: %v", job.ID, err)
 		}

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -296,6 +298,59 @@ func TestCancelQueued(t *testing.T) {
 	}
 	if n := s.rec.Counter(telemetry.CounterJobsCancelled); n != 1 {
 		t.Errorf("cancelled counter = %d, want 1", n)
+	}
+}
+
+// TestTerminalStatusCarriesResult: a job whose status reads terminal must
+// already carry its result, on every path that ends a job — a worker run,
+// a batch follower finished by its leader, and a cancel while queued.
+// Observers spin on each job from before it can finish, so a result
+// attached after the terminal transition shows up as a status without a
+// result (a 409 from GET .../result after status said done).
+func TestTerminalStatusCarriesResult(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64, Batch: true})
+	h := installBlockingHook(s)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{submitOK(t, ts.URL, JobSpec{Bench: "nbody"}).ID}
+	h.waitStarted(t)
+	// Queued behind the parked worker: kmeans jobs form one batch group,
+	// the bezier jobs are cancelled before they start.
+	var cancels []string
+	for i := 0; i < 8; i++ {
+		cancels = append(cancels, submitOK(t, ts.URL, JobSpec{Bench: "bezier"}).ID)
+		ids = append(ids, submitOK(t, ts.URL, JobSpec{Bench: "kmeans"}).ID, cancels[i])
+	}
+
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		job := s.lookup(id)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for st := job.Status(); ; st = job.Status() {
+				if st.State.Terminal() {
+					if job.Result() == nil {
+						t.Errorf("job %s reads %s without a result", job.ID, st.State)
+					}
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	for _, id := range cancels {
+		if code, body := httpDelete(t, ts.URL+"/v1/jobs/"+id); code != http.StatusOK {
+			t.Errorf("cancel queued %s: got %d (%s)", id, code, body)
+		}
+	}
+	close(h.release)
+	wg.Wait()
+	for _, id := range ids {
+		if code, body := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result"); code != http.StatusOK {
+			t.Errorf("result %s: got %d (%s)", id, code, body)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: vet, build, and run the full test suite with the race
 # detector (the parallel branch-path execution in internal/core is only
-# meaningfully exercised under -race). Mirrors .github/workflows/ci.yml.
+# meaningfully exercised under -race). .github/workflows/ci.yml runs this
+# script and nothing else, so this file is the one CI definition.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -9,14 +10,17 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
-# Compiled-vs-tree-walk and cached-vs-uncached equivalence under -race:
+# Bytecode-vs-tree-walk and cached-vs-uncached equivalence under -race:
 # the singleflight run cache is shared by concurrent branch paths.
 go test -race -run 'Equivalence' ./internal/interp/ ./internal/tasks/
-# Bench smoke for the bytecode VM: the three-way differential suite
-# (bytecode vs closures vs tree-walk) under -race, plus the no-fallback
-# gate — the VM must execute all five benchmarks natively, never via its
-# defensive closure fallback.
-go test -race -run 'ThreeWay|BytecodeNoFallback|BytecodeCancel' ./internal/interp/
+# Bench smoke for the bytecode VM: the two-way differential suite
+# (bytecode vs tree-walk: benchmarks, error table, scoping, fuzz seeds)
+# under -race, plus the no-fallback gate — the VM must execute all five
+# benchmarks natively, never via its defensive tree-walk fallback — and
+# the fallback path itself (a latched lowering failure runs on the
+# tree-walker with identical results, on the benchmarks and the error
+# table too).
+go test -race -run 'CompiledTreeWalk|ThreeWay|Shadowing|DeclInit|BytecodeDiff|BytecodeNoFallback|BytecodeCancel|LoweringFailure' ./internal/interp/
 # Quickening equivalence under -race: type-specialized opcodes must match
 # generic dispatch bit-for-bit (results, buffers, error paths) and the
 # in-place rewrite must stay race-free on a shared program-cache image;
